@@ -12,11 +12,32 @@
 //!   network's trailer-word idea, widened from bytes to words so hashing a
 //!   multi-KiB `from_keys` record costs ⅛ the multiplies and stays off the
 //!   append path's critical ns budget). The payload is `[seq, tag, args…]`.
-//! * **Checkpoints** (`checkpoint.json`): the whole slab + root tables,
-//!   serialized through [`obs::json::J`] behind a leading CRC line, written
-//!   to a temp file and atomically renamed. A checkpoint bounds replay work;
-//!   the WAL keeps its full history so a corrupt checkpoint degrades to a
-//!   full genesis replay, never to data loss.
+//! * **Checkpoints** (`checkpoint.bin`): the whole slab + root tables in
+//!   the same fixed-width `u64` LE words, encoded into a per-thread buffer
+//!   reused across checkpoints, written to a temp file, `sync_data`ed and
+//!   atomically renamed:
+//!
+//!   ```text
+//!   [magic|version] [seq] [S]                  header, S = slab slots
+//!   S × ( [DEAD]                               dead slot (on the free list)
+//!       | [d] [key] [parent|NONE] [child × d]) live node of degree d
+//!   [F] [free id × F]                          arena free list, pop order
+//!   [H] H × [slot] [gen] [len] [R] [root|NONE × R]   live heaps, slot-ascending
+//!   [P] P × [slot] [next gen]                  recyclable handle slots
+//!   [crc]                                      FNV-1a per word over all above
+//!   ```
+//!
+//!   `DEAD` and `NONE` are `u64::MAX`. The reader bounds-checks every word
+//!   and never panics. A malformed image — bad length, CRC, magic or
+//!   version, an id at or past `S`, a count the file cannot hold, a heap
+//!   slot out of order or repeated — is refused before anything is
+//!   allocated for it; one that parses but does not fit together (a link
+//!   to a dead node, free list vs dead slots, a free slot that is live or
+//!   listed twice, a pool failing `check_pool`) is refused once built. A
+//!   checkpoint only bounds replay work; the WAL keeps its full history,
+//!   so a missing or refused checkpoint degrades to a full genesis replay,
+//!   never to data loss. A `checkpoint.json` left by the earlier JSON
+//!   format is never opened, so it too means genesis replay.
 //! * **Recovery** ([`HeapPool::recover`] / [`recover_dir`]): load the last
 //!   valid checkpoint (if any), replay every WAL record with a later
 //!   sequence number, and truncate the log at the first torn or
@@ -31,12 +52,12 @@
 //! mutation, the recovered state can only be **ahead** of what a crashed
 //! process had applied, never behind what it acknowledged.
 
+use std::cell::RefCell;
 use std::fs::{File, OpenOptions};
 use std::io::{BufWriter, Read, Write};
 use std::path::{Path, PathBuf};
 
 use obs::flight::{self, EventKind};
-use obs::json::J;
 
 use crate::arena::{Arena, Node, NodeId};
 use crate::check::check_pool;
@@ -46,7 +67,7 @@ use crate::pool::{CapacityError, HeapPool, PooledHeap};
 /// The log file inside a durability directory.
 pub const WAL_FILE: &str = "wal.log";
 /// The checkpoint file inside a durability directory.
-pub const CHECKPOINT_FILE: &str = "checkpoint.json";
+pub const CHECKPOINT_FILE: &str = "checkpoint.bin";
 
 /// Upper bound on a record's payload word count — anything larger is
 /// treated as a tear (a real record of this size would be a ~0.5 GiB
@@ -57,29 +78,18 @@ const MAX_PAYLOAD_WORDS: u64 = 1 << 26;
 const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
 const FNV_PRIME: u64 = 0x0000_0100_0000_01b3;
 
-/// Byte-granular FNV-1a — used for the textual checkpoint body, where the
-/// input is a JSON string and throughput does not matter.
-fn fnv1a(bytes: &[u8]) -> u64 {
-    let mut h = FNV_OFFSET;
-    for &b in bytes {
-        h ^= b as u64;
-        h = h.wrapping_mul(FNV_PRIME);
-    }
-    h
+/// One FNV-1a step, folding a whole `u64` word.
+fn fnv_step(h: u64, w: u64) -> u64 {
+    (h ^ w).wrapping_mul(FNV_PRIME)
 }
 
-/// Word-granular FNV-1a for WAL record trailers: one xor+multiply per
-/// `u64` word instead of per byte. Records are all-words already, and a
-/// bulk `FromKeys` record can be multiple KiB — the byte loop's serial
-/// multiply chain (~1 ns/byte) would dominate the append path that the
-/// `wal_append_overhead` bench gate bounds at 1.15×.
+/// Word-granular FNV-1a for WAL record and checkpoint trailers: one
+/// xor+multiply per `u64` word instead of per byte. Records are all-words
+/// already, and a bulk `FromKeys` record can be multiple KiB — the byte
+/// loop's serial multiply chain (~1 ns/byte) would dominate the append path
+/// that the `wal_append_overhead` bench gate bounds at 1.15×.
 fn fnv1a_words(words: impl IntoIterator<Item = u64>) -> u64 {
-    let mut h = FNV_OFFSET;
-    for w in words {
-        h ^= w;
-        h = h.wrapping_mul(FNV_PRIME);
-    }
-    h
+    words.into_iter().fold(FNV_OFFSET, fnv_step)
 }
 
 /// One logical pool mutation, as logged. Slots and generations are the
@@ -406,29 +416,81 @@ pub fn truncate_wal(path: &Path, len: u64) -> std::io::Result<()> {
     f.set_len(len)
 }
 
-fn j_u64(j: &J) -> Option<u64> {
-    match j {
-        J::UInt(v) => Some(*v),
-        J::Int(v) => u64::try_from(*v).ok(),
-        _ => None,
+/// First word of a checkpoint: ASCII `MPQCKPT` plus a format version byte.
+const CHECKPOINT_MAGIC: u64 = u64::from_le_bytes(*b"MPQCKPT\x01");
+
+/// A dead slab slot, an absent parent, an empty root position.
+const NONE_WORD: u64 = u64::MAX;
+
+fn none_or(id: Option<NodeId>) -> u64 {
+    id.map_or(NONE_WORD, |id| id.0 as u64)
+}
+
+thread_local! {
+    /// Checkpoint image buffer, kept per thread so the slab-sized
+    /// allocation is made once, not once per checkpoint.
+    static CHECKPOINT_BUF: RefCell<Vec<u8>> = const { RefCell::new(Vec::new()) };
+}
+
+/// Appends `u64` LE words to the image buffer, folding each into the
+/// FNV-1a trailer as it goes.
+struct ImageWriter<'a> {
+    buf: &'a mut Vec<u8>,
+    crc: u64,
+}
+
+impl ImageWriter<'_> {
+    fn put(&mut self, words: impl IntoIterator<Item = u64>) {
+        for w in words {
+            self.crc = fnv_step(self.crc, w);
+            self.buf.extend_from_slice(&w.to_le_bytes());
+        }
     }
 }
 
-fn j_i64(j: &J) -> Option<i64> {
-    match j {
-        J::Int(v) => Some(*v),
-        J::UInt(v) => i64::try_from(*v).ok(),
-        _ => None,
+/// Encode the checkpoint image, trailer included, into `buf`.
+fn encode_checkpoint(
+    buf: &mut Vec<u8>,
+    seq: u64,
+    pool: &HeapPool<i64>,
+    heaps: &[(u32, u32, &PooledHeap)],
+    free_slots: &[(u32, u32)],
+) {
+    let (slab, free) = (pool.arena().raw_slots(), pool.arena().free_list());
+    buf.clear();
+    let mut out = ImageWriter {
+        buf,
+        crc: FNV_OFFSET,
+    };
+    out.put([CHECKPOINT_MAGIC, seq, slab.len() as u64]);
+    for slot in slab {
+        match slot {
+            None => out.put([NONE_WORD]),
+            Some(n) => {
+                out.put([n.children.len() as u64, n.key as u64, none_or(n.parent)]);
+                out.put(n.children.iter().map(|c| c.0 as u64));
+            }
+        }
     }
+    out.put([free.len() as u64]);
+    out.put(free.iter().map(|&f| f as u64));
+    out.put([heaps.len() as u64]);
+    for &(slot, gen, h) in heaps {
+        let roots = h.roots();
+        out.put([slot as u64, gen as u64, h.len() as u64, roots.len() as u64]);
+        out.put(roots.iter().map(|&r| none_or(r)));
+    }
+    out.put([free_slots.len() as u64]);
+    out.put(free_slots.iter().flat_map(|&(s, g)| [s as u64, g as u64]));
+    let crc = out.crc;
+    out.buf.extend_from_slice(&crc.to_le_bytes());
 }
 
-fn j_u32(j: &J) -> Option<u32> {
-    j_u64(j).and_then(|v| u32::try_from(v).ok())
-}
-
-/// Serialize the slab + root tables to `dir/checkpoint.json` (temp file +
-/// rename, CRC line first) under checkpoint sequence `seq` — replay then
-/// skips every record with `seq' <= seq`.
+/// Write the slab + root tables to `dir/checkpoint.bin` under checkpoint
+/// sequence `seq` (replay then skips every record with `seq' <= seq`): the
+/// word image goes to a temp file, is `sync_data`ed, then atomically
+/// renamed over the previous checkpoint. `heaps` must come in strictly
+/// ascending slot order.
 pub fn write_checkpoint<'a, I>(
     dir: &Path,
     seq: u64,
@@ -439,64 +501,165 @@ pub fn write_checkpoint<'a, I>(
 where
     I: IntoIterator<Item = (u32, u32, &'a PooledHeap)>,
 {
-    let nodes: Vec<J> = pool
-        .arena()
-        .raw_slots()
-        .iter()
-        .map(|slot| match slot {
-            None => J::Num(f64::NAN), // emitted as `null`
-            Some(n) => J::Arr(vec![
-                J::Int(n.key),
-                J::Int(n.parent.map_or(-1, |p| p.0 as i64)),
-                J::Arr(n.children.iter().map(|c| J::UInt(c.0 as u64)).collect()),
-            ]),
-        })
-        .collect();
-    let free: Vec<J> = pool
-        .arena()
-        .free_list()
-        .iter()
-        .map(|f| J::UInt(*f as u64))
-        .collect();
-    let heaps: Vec<J> = heaps
-        .into_iter()
-        .map(|(slot, gen, h)| {
-            J::Arr(vec![
-                J::UInt(slot as u64),
-                J::UInt(gen as u64),
-                J::UInt(h.len() as u64),
-                J::Arr(
-                    h.roots()
-                        .iter()
-                        .map(|r| J::Int(r.map_or(-1, |id| id.0 as i64)))
-                        .collect(),
-                ),
-            ])
-        })
-        .collect();
-    let slots: Vec<J> = free_slots
-        .iter()
-        .map(|(s, g)| J::Arr(vec![J::UInt(*s as u64), J::UInt(*g as u64)]))
-        .collect();
-    let body = J::obj([
-        ("seq", J::UInt(seq)),
-        ("nodes", J::Arr(nodes)),
-        ("free", J::Arr(free)),
-        ("heaps", J::Arr(heaps)),
-        ("free_slots", J::Arr(slots)),
-    ])
-    .to_string();
-    let crc = fnv1a(body.as_bytes());
-    let tmp = dir.join(format!("{CHECKPOINT_FILE}.tmp"));
-    {
-        let mut f = File::create(&tmp)?;
-        f.write_all(format!("{crc}\n").as_bytes())?;
-        f.write_all(body.as_bytes())?;
-        f.sync_data()?;
+    let heaps: Vec<(u32, u32, &PooledHeap)> = heaps.into_iter().collect();
+    if heaps.windows(2).any(|w| w[0].0 >= w[1].0) {
+        return Err(std::io::Error::new(
+            std::io::ErrorKind::InvalidInput,
+            "checkpoint heap slots must be strictly ascending",
+        ));
     }
+    let tmp = dir.join(format!("{CHECKPOINT_FILE}.tmp"));
+    CHECKPOINT_BUF.with_borrow_mut(|buf| {
+        encode_checkpoint(buf, seq, pool, &heaps, free_slots);
+        let mut f = File::create(&tmp)?;
+        f.write_all(buf)?;
+        f.sync_data()
+    })?;
     std::fs::rename(&tmp, dir.join(CHECKPOINT_FILE))?;
     flight::record_here(EventKind::Checkpoint, seq);
     Ok(())
+}
+
+/// Bounds-checked cursor over the words of a checkpoint body.
+struct WordReader<'a>(std::slice::ChunksExact<'a, u8>);
+
+impl WordReader<'_> {
+    fn next(&mut self) -> Option<u64> {
+        self.0.next()?.try_into().ok().map(u64::from_le_bytes)
+    }
+
+    fn left(&self) -> usize {
+        self.0.len()
+    }
+
+    /// `n` items of at least `min_words` words each, if the rest of the
+    /// image can hold them — so no count ever sizes an allocation that
+    /// the file does not back.
+    fn backed(&self, n: u64, min_words: usize) -> Option<usize> {
+        usize::try_from(n)
+            .ok()
+            .filter(|&n| n <= self.left() / min_words)
+    }
+
+    /// A count prefix, checked with [`WordReader::backed`].
+    fn count(&mut self, min_words: usize) -> Option<usize> {
+        let n = self.next()?;
+        self.backed(n, min_words)
+    }
+
+    fn u32(&mut self) -> Option<u32> {
+        u32::try_from(self.next()?).ok()
+    }
+}
+
+/// A checkpoint body decoded into plain parts.
+#[derive(Default)]
+struct Image {
+    seq: u64,
+    nodes: Vec<Option<Node<i64>>>,
+    free: Vec<u32>,
+    /// `(slot, gen, len, roots)`, ascending by slot.
+    heaps: Vec<(u32, u32, usize, Vec<Option<NodeId>>)>,
+    free_slots: Vec<(u32, u32)>,
+    /// Length of the owner's slot table: one past the highest live or
+    /// free slot.
+    table_len: usize,
+}
+
+/// Walk a checkpoint body (the words before the trailer). Any malformed
+/// input yields `None`, never a panic. With `build == false` nothing is
+/// stored: recovery runs that pass first, so an image is refused before
+/// anything is allocated for it.
+fn parse_image(body: &[u8], build: bool) -> Option<Image> {
+    let mut r = WordReader(body.chunks_exact(8));
+    if r.next()? != CHECKPOINT_MAGIC {
+        return None;
+    }
+    let mut img = Image {
+        seq: r.next()?,
+        ..Image::default()
+    };
+    // A dead slot is one word; ids are u32, so at most 2^32 slots.
+    let slots = r.count(1)? as u64;
+    if slots > 1 << 32 {
+        return None;
+    }
+    let id = |w: u64| (w < slots).then_some(NodeId(w as u32));
+    let id_or_none = |w: u64| {
+        if w == NONE_WORD {
+            Some(None)
+        } else {
+            id(w).map(Some)
+        }
+    };
+    img.nodes
+        .reserve_exact(if build { slots as usize } else { 0 });
+    for _ in 0..slots {
+        let degree = r.next()?;
+        let node = if degree == NONE_WORD {
+            None
+        } else {
+            let key = r.next()? as i64;
+            let parent = id_or_none(r.next()?)?;
+            let degree = r.backed(degree, 1)?;
+            let mut children = Vec::with_capacity(if build { degree } else { 0 });
+            for _ in 0..degree {
+                let c = id(r.next()?)?;
+                if build {
+                    children.push(c);
+                }
+            }
+            Some(Node {
+                key,
+                parent,
+                children,
+            })
+        };
+        if build {
+            img.nodes.push(node);
+        }
+    }
+    for _ in 0..r.count(1)? {
+        let f = id(r.next()?)?.0;
+        if build {
+            img.free.push(f);
+        }
+    }
+    // Slots strictly ascend, which also rules out a slot appearing twice.
+    let heaps = r.count(4)?;
+    let mut table_len = 0u64;
+    for _ in 0..heaps {
+        let (slot, gen) = (r.u32()?, r.u32()?);
+        if (slot as u64) < table_len {
+            return None;
+        }
+        table_len = slot as u64 + 1;
+        let len = usize::try_from(r.next()?).ok()?;
+        let mut roots = Vec::new();
+        for _ in 0..r.count(1)? {
+            let root = id_or_none(r.next()?)?;
+            if build {
+                roots.push(root);
+            }
+        }
+        if build {
+            img.heaps.push((slot, gen, len, roots));
+        }
+    }
+    let pairs = r.count(2)?;
+    for _ in 0..pairs {
+        let (slot, gen) = (r.u32()?, r.u32()?);
+        table_len = table_len.max(slot as u64 + 1);
+        if build {
+            img.free_slots.push((slot, gen));
+        }
+    }
+    // Every table slot is live or free, and nothing trails the tables.
+    if table_len > (heaps + pairs) as u64 || r.left() != 0 {
+        return None;
+    }
+    img.table_len = table_len as usize;
+    Some(img)
 }
 
 /// A checkpoint decoded back into live structures.
@@ -507,90 +670,59 @@ struct RecoveredCheckpoint {
     free_slots: Vec<(u32, u32)>,
 }
 
-/// Load `dir/checkpoint.json`. Any failure — missing file, CRC mismatch,
-/// malformed JSON, inconsistent free list — yields `None`: the checkpoint
-/// is advisory, recovery then replays the WAL from genesis.
-fn read_checkpoint(dir: &Path, engine: Engine) -> Option<RecoveredCheckpoint> {
-    let text = std::fs::read_to_string(dir.join(CHECKPOINT_FILE)).ok()?;
-    let (crc_line, body) = text.split_once('\n')?;
-    let want: u64 = crc_line.trim().parse().ok()?;
-    if fnv1a(body.as_bytes()) != want {
+/// Decode a checkpoint file's bytes. Any failure — bad length, CRC
+/// mismatch, wrong magic, an out-of-range id or count, an inconsistent
+/// free list — yields `None`.
+fn decode_checkpoint(bytes: &[u8], engine: Engine) -> Option<RecoveredCheckpoint> {
+    if !bytes.len().is_multiple_of(8) {
         return None;
     }
-    let doc = J::parse(body).ok()?;
-    let seq = doc.get("seq").and_then(j_u64)?;
-    let mut nodes: Vec<Option<Node<i64>>> = Vec::new();
-    for slot in doc.get("nodes")?.as_arr()? {
-        match slot {
-            J::Num(_) => nodes.push(None),
-            J::Arr(parts) => {
-                let key = j_i64(parts.first()?)?;
-                let parent = match j_i64(parts.get(1)?)? {
-                    -1 => None,
-                    p => Some(NodeId(u32::try_from(p).ok()?)),
-                };
-                let children = parts
-                    .get(2)?
-                    .as_arr()?
-                    .iter()
-                    .map(|c| j_u32(c).map(NodeId))
-                    .collect::<Option<Vec<_>>>()?;
-                nodes.push(Some(Node {
-                    key,
-                    parent,
-                    children,
-                }));
-            }
-            _ => return None,
-        }
+    let (body, trailer) = bytes.split_at(bytes.len().checked_sub(8)?);
+    let mut words = WordReader(body.chunks_exact(8));
+    if fnv1a_words(std::iter::from_fn(|| words.next())).to_le_bytes() != trailer {
+        return None;
     }
-    let free = doc
-        .get("free")?
-        .as_arr()?
-        .iter()
-        .map(j_u32)
-        .collect::<Option<Vec<_>>>()?;
-    let arena = Arena::from_raw_parts(nodes, free)?;
+    parse_image(body, false)?;
+    let img = parse_image(body, true)?;
+    // Links must name live nodes: the structural checks below dereference
+    // them.
+    let live = |id: &NodeId| matches!(img.nodes.get(id.0 as usize), Some(Some(_)));
+    let mut links = img.nodes.iter().flatten();
+    if !links.all(|n| n.parent.iter().chain(&n.children).all(live)) {
+        return None;
+    }
+    let arena = Arena::from_raw_parts(img.nodes, img.free)?;
     let pool = HeapPool::from_arena(arena, engine);
     let mut heaps: Vec<Option<(u32, PooledHeap)>> = Vec::new();
-    for h in doc.get("heaps")?.as_arr()? {
-        let parts = h.as_arr()?;
-        let slot = j_u32(parts.first()?)? as usize;
-        let gen = j_u32(parts.get(1)?)?;
-        let len = j_u64(parts.get(2)?)? as usize;
-        let roots = parts
-            .get(3)?
-            .as_arr()?
-            .iter()
-            .map(|r| match j_i64(r) {
-                Some(-1) => Some(None),
-                Some(p) => u32::try_from(p).ok().map(|v| Some(NodeId(v))),
-                None => None,
-            })
-            .collect::<Option<Vec<_>>>()?;
-        if heaps.len() <= slot {
-            heaps.resize_with(slot + 1, || None);
-        }
-        if heaps[slot].is_some() {
+    heaps.resize_with(img.table_len, || None);
+    for (slot, gen, len, roots) in img.heaps {
+        *heaps.get_mut(slot as usize)? = Some((gen, pool.restore_heap(roots, len)));
+    }
+    // A free slot must be empty and listed once, or two creates would
+    // hand out the same slot.
+    let mut claimed: Vec<bool> = heaps.iter().map(Option::is_some).collect();
+    for &(s, _) in &img.free_slots {
+        if std::mem::replace(claimed.get_mut(s as usize)?, true) {
             return None;
         }
-        heaps[slot] = Some((gen, pool.restore_heap(roots, len)));
     }
-    let free_slots = doc
-        .get("free_slots")?
-        .as_arr()?
-        .iter()
-        .map(|p| {
-            let parts = p.as_arr()?;
-            Some((j_u32(parts.first()?)?, j_u32(parts.get(1)?)?))
-        })
-        .collect::<Option<Vec<_>>>()?;
+    // A checkpoint that decodes but is not a valid pool is refused like a
+    // torn one, so recovery falls back to genesis replay.
+    let refs: Vec<&PooledHeap> = heaps.iter().flatten().map(|(_, h)| h).collect();
+    check_pool(&pool, &refs).ok()?;
     Some(RecoveredCheckpoint {
-        seq,
+        seq: img.seq,
         pool,
         heaps,
-        free_slots,
+        free_slots: img.free_slots,
     })
+}
+
+/// Load `dir/checkpoint.bin`. A missing or malformed checkpoint yields
+/// `None`: the checkpoint is advisory, recovery then replays the WAL from
+/// genesis.
+fn read_checkpoint(dir: &Path, engine: Engine) -> Option<RecoveredCheckpoint> {
+    decode_checkpoint(&std::fs::read(dir.join(CHECKPOINT_FILE)).ok()?, engine)
 }
 
 /// Apply one logged op to a pool + slot table. Shared by replay and the
@@ -1145,6 +1277,300 @@ mod tests {
         kb.sort_unstable();
         assert_eq!(ka, kb);
         b.validate().unwrap();
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    /// Each live slot's `(generation, sorted keys)`.
+    fn slot_keys(
+        pool: &HeapPool<i64>,
+        heaps: &[Option<(u32, PooledHeap)>],
+    ) -> Vec<Option<(u32, Vec<i64>)>> {
+        heaps
+            .iter()
+            .map(|s| {
+                s.as_ref().map(|(gen, h)| {
+                    let mut ids = Vec::new();
+                    pool.collect_node_ids(h, &mut ids);
+                    let mut keys: Vec<i64> =
+                        ids.iter().map(|id| pool.arena().get(*id).key).collect();
+                    keys.sort_unstable();
+                    (*gen, keys)
+                })
+            })
+            .collect()
+    }
+
+    #[test]
+    fn checkpoint_roundtrip_is_exact() {
+        let dir = tmp_dir("exact");
+        let mut dp = HeapPool::recover(&dir).unwrap();
+        dp.set_checkpoint_every(u64::MAX);
+        let (a, _) = dp.create_heap().unwrap();
+        dp.from_keys(a, &[5, -3, 0, 17, 9, 2, 8, 1]).unwrap();
+        dp.multi_extract_min(a, 3).unwrap();
+        dp.insert(a, i64::MIN).unwrap(); // reuses a freed slab slot
+        dp.insert(a, i64::MAX).unwrap();
+        let (b, _) = dp.create_heap().unwrap();
+        dp.insert(b, 4).unwrap();
+        let (c, _) = dp.create_heap().unwrap(); // stays live and empty
+        let (e, _) = dp.create_heap().unwrap();
+        dp.from_keys(e, &[11, 12, 13]).unwrap();
+        dp.free_heap(b).unwrap();
+        let (d, dgen) = dp.create_heap().unwrap(); // recycles b's slot
+        assert_eq!((d, dgen), (b, 1));
+        dp.insert(d, 6).unwrap();
+        dp.free_heap(e).unwrap(); // dead slab slots; the top slot is free
+        dp.checkpoint().unwrap();
+        let slab = dp.pool.arena().raw_slots();
+        assert!(slab.iter().any(Option::is_none), "image has dead slots");
+        assert!(!dp.pool.arena().free_list().is_empty());
+        assert_eq!(dp.free_slots, vec![(e, 1)]);
+        assert_eq!(dp.len(c), Some(0));
+
+        let ck = read_checkpoint(&dir, Engine::Sequential).expect("checkpoint decodes");
+        assert_eq!(ck.seq, dp.writer.next_seq() - 1);
+        let got = ck.pool.arena().raw_slots();
+        assert_eq!(got.len(), slab.len());
+        for (i, (want, got)) in slab.iter().zip(got).enumerate() {
+            match (want, got) {
+                (None, None) => {}
+                (Some(w), Some(g)) => {
+                    assert_eq!(g.key, w.key, "slot {i} key");
+                    assert_eq!(g.parent, w.parent, "slot {i} parent");
+                    assert_eq!(g.children, w.children, "slot {i} children");
+                }
+                _ => panic!("slot {i}: liveness differs"),
+            }
+        }
+        let keys: Vec<i64> = got.iter().flatten().map(|n| n.key).collect();
+        assert!(keys.contains(&i64::MIN) && keys.contains(&i64::MAX));
+        assert_eq!(ck.pool.arena().free_list(), dp.pool.arena().free_list());
+        assert_eq!(ck.heaps.len(), dp.slots.len());
+        for (slot, (want, got)) in dp.slots.iter().zip(&ck.heaps).enumerate() {
+            match (want, got) {
+                (None, None) => {}
+                (Some((wg, wh)), Some((gg, gh))) => {
+                    assert_eq!(gg, wg, "slot {slot} gen");
+                    assert_eq!(gh.len(), wh.len(), "slot {slot} len");
+                    assert_eq!(gh.roots(), wh.roots(), "slot {slot} roots");
+                }
+                _ => panic!("slot {slot}: liveness differs"),
+            }
+        }
+        assert_eq!(ck.free_slots, dp.free_slots);
+
+        // The file is the word image: magic first, the FNV-1a of every
+        // word before it last.
+        let bytes = std::fs::read(dir.join(CHECKPOINT_FILE)).unwrap();
+        let words: Vec<u64> = bytes
+            .chunks_exact(8)
+            .map(|w| u64::from_le_bytes(w.try_into().unwrap()))
+            .collect();
+        assert_eq!(bytes.len(), 8 * words.len());
+        assert_eq!(words[0], CHECKPOINT_MAGIC);
+        let (body, trailer) = words.split_at(words.len() - 1);
+        assert_eq!(trailer[0], fnv1a_words(body.iter().copied()));
+        assert!(!dir.join(format!("{CHECKPOINT_FILE}.tmp")).exists());
+
+        // A recycled top slot stays usable after the restart.
+        drop(dp);
+        let mut dp = HeapPool::recover(&dir).unwrap();
+        assert_eq!(dp.create_heap().unwrap(), (e, 1));
+        dp.validate().unwrap();
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    /// Seal `words` as a checkpoint file: LE words plus the FNV-1a trailer.
+    fn seal(words: &[u64]) -> Vec<u8> {
+        let crc = fnv1a_words(words.iter().copied());
+        words
+            .iter()
+            .chain([&crc])
+            .flat_map(|w| w.to_le_bytes())
+            .collect()
+    }
+
+    const N: u64 = NONE_WORD;
+
+    /// A valid image: heap `[10, 20]` at slot 0 (gen 4), slot 1 free (next
+    /// gen 5), slab slot 1 dead.
+    #[rustfmt::skip]
+    fn tiny_image() -> Vec<u64> {
+        vec![
+            CHECKPOINT_MAGIC, 7, 3, // header: seq 7, 3 slab slots
+            1, 10, N, 2, //            0: key 10, root, child 2
+            N, //                      1: dead
+            0, 20, 0, //               2: key 20, parent 0
+            1, 1, //                   free list [1]
+            1, 0, 4, 2, 2, N, 0, //    heap at slot 0: gen 4, len 2, roots [-, 0]
+            1, 1, 5, //                free slots [(1, 5)]
+        ]
+    }
+
+    /// A valid image with one-node heaps at slots 0 and `second`.
+    #[rustfmt::skip]
+    fn two_heaps(second: u64) -> Vec<u64> {
+        vec![
+            CHECKPOINT_MAGIC, 7, 2,
+            0, 10, N,
+            0, 20, N,
+            0,
+            2, 0, 0, 1, 1, 0, second, 0, 1, 1, 1,
+            0,
+        ]
+    }
+
+    #[test]
+    fn hostile_checkpoints_are_refused_without_allocating() {
+        let decoded = decode_checkpoint(&seal(&tiny_image()), Engine::Sequential).expect("valid");
+        assert_eq!(decoded.seq, 7);
+        assert_eq!(decoded.free_slots, vec![(1, 5)]);
+        assert_eq!(
+            slot_keys(&decoded.pool, &decoded.heaps),
+            vec![Some((4, vec![10, 20])), None]
+        );
+        assert!(decode_checkpoint(&seal(&two_heaps(1)), Engine::Sequential).is_some());
+
+        let edit = |at: usize, w: u64| {
+            let mut v = tiny_image();
+            v[at] = w;
+            seal(&v)
+        };
+        // Refused before the words are parsed: bad length or CRC.
+        let valid = seal(&tiny_image());
+        let mut torn = valid.clone();
+        torn.pop();
+        let mut flipped = valid.clone();
+        flipped[4 * 8 + 1] ^= 0x10;
+        let mut hostile: Vec<(&str, Vec<u8>)> = vec![
+            ("empty file", Vec::new()),
+            ("length not a multiple of 8", torn),
+            ("flipped bit", flipped),
+        ];
+        // CRC-valid, refused by the pass that stores nothing, so no count
+        // in them ever sizes an allocation.
+        let far = 1u64 << 32;
+        let parsed: Vec<(&str, Vec<u8>)> = vec![
+            ("trailer only", seal(&[])),
+            ("wrong magic", edit(0, CHECKPOINT_MAGIC ^ 1)),
+            (
+                "wrong version",
+                edit(0, u64::from_le_bytes(*b"MPQCKPT\x02")),
+            ),
+            ("slot count u64::MAX", edit(2, u64::MAX)),
+            ("degree past the file", edit(3, u64::MAX - 1)),
+            ("free count u64::MAX", edit(11, u64::MAX)),
+            ("heap count u64::MAX", edit(13, u64::MAX)),
+            ("root count u64::MAX", edit(17, u64::MAX)),
+            ("free-slot count u64::MAX", edit(20, u64::MAX)),
+            ("child id = slot count", edit(6, 3)),
+            ("child id above u32::MAX", edit(6, far + 2)),
+            ("parent id = slot count", edit(10, 3)),
+            ("parent id above u32::MAX", edit(10, far)),
+            ("root id = slot count", edit(19, 3)),
+            ("free id above u32::MAX", edit(12, far + 1)),
+            ("heap slot above u32::MAX", edit(14, far)),
+            ("heap slot twice", seal(&two_heaps(0))),
+            ("trailing word", {
+                let mut v = tiny_image();
+                v.push(0);
+                seal(&v)
+            }),
+        ];
+        for (what, bytes) in &parsed {
+            let body = &bytes[..bytes.len() - 8];
+            assert!(
+                parse_image(body, false).is_none(),
+                "{what}: passed validation"
+            );
+        }
+        hostile.extend(parsed);
+        for (what, bytes) in &hostile {
+            assert!(
+                decode_checkpoint(bytes, Engine::Sequential).is_none(),
+                "{what}: accepted"
+            );
+        }
+        // The validation pass stores nothing even for a valid image.
+        let img = parse_image(&valid[..valid.len() - 8], false).expect("valid");
+        assert_eq!(
+            [
+                img.nodes.capacity(),
+                img.free.capacity(),
+                img.heaps.capacity(),
+                img.free_slots.capacity()
+            ],
+            [0; 4]
+        );
+        // Images that parse but do not fit together are refused too.
+        for (what, bytes) in [
+            ("child names a dead slot", edit(6, 1)),
+            ("free list names a live node", edit(12, 2)),
+            ("free slot is live", edit(21, 0)),
+            ("heap order", edit(9, 5)),
+        ] {
+            assert!(
+                decode_checkpoint(&bytes, Engine::Sequential).is_none(),
+                "{what}: accepted"
+            );
+        }
+
+        // Recovery over each refused image replays the WAL from genesis.
+        let dir = tmp_dir("hostile");
+        {
+            let mut dp = HeapPool::recover(&dir).unwrap();
+            dp.set_checkpoint_every(u64::MAX);
+            let (a, _) = dp.create_heap().unwrap();
+            let (b, _) = dp.create_heap().unwrap();
+            dp.from_keys(a, &[4, 1, 3]).unwrap();
+            for k in 0..6 {
+                dp.insert(b, 10 * k).unwrap();
+            }
+            dp.extract_min(a).unwrap();
+            dp.free_heap(b).unwrap();
+        }
+        let oracle = recover_dir(&dir, Engine::Sequential).unwrap();
+        assert_eq!(oracle.replayed, 11);
+        let want = slot_keys(&oracle.pool, &oracle.heaps);
+        for (what, bytes) in &hostile {
+            std::fs::write(dir.join(CHECKPOINT_FILE), bytes).unwrap();
+            let got = recover_dir(&dir, Engine::Sequential)
+                .unwrap_or_else(|e| panic!("{what}: recovery failed: {e}"));
+            assert_eq!(got.replayed, 11, "{what}: not a genesis replay");
+            assert_eq!(slot_keys(&got.pool, &got.heaps), want, "{what}");
+            assert_eq!(got.free_slots, oracle.free_slots, "{what}");
+        }
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
+    fn legacy_json_checkpoint_is_ignored() {
+        let dir = tmp_dir("legacy");
+        {
+            let mut dp = HeapPool::recover(&dir).unwrap();
+            dp.set_checkpoint_every(u64::MAX);
+            let (a, _) = dp.create_heap().unwrap();
+            dp.from_keys(a, &[3, 1, 2]).unwrap();
+            dp.insert(a, 7).unwrap();
+            dp.insert(a, -4).unwrap();
+            dp.extract_min(a).unwrap();
+            dp.insert(a, 5).unwrap();
+        }
+        // A checkpoint as the earlier JSON format wrote it, for an empty
+        // pool at seq 6: were it read, replay would skip every record and
+        // recover nothing.
+        let legacy = dir.join("checkpoint.json");
+        let text = "17916176206309384464\n\
+                    {\"seq\":6,\"nodes\":[],\"free\":[],\"heaps\":[],\"free_slots\":[]}";
+        std::fs::write(&legacy, text).unwrap();
+        assert!(!dir.join(CHECKPOINT_FILE).exists());
+        let state = recover_dir(&dir, Engine::Sequential).unwrap();
+        assert_eq!(state.replayed, 6);
+        assert_eq!(
+            slot_keys(&state.pool, &state.heaps),
+            vec![Some((0, vec![1, 2, 3, 5, 7]))]
+        );
+        assert_eq!(std::fs::read_to_string(&legacy).unwrap(), text);
         std::fs::remove_dir_all(&dir).unwrap();
     }
 }

@@ -61,6 +61,11 @@ pub struct ShardStats {
     pub wal_appends: u64,
     /// Durability checkpoints written by this shard.
     pub wal_checkpoints: u64,
+    /// Wall-clock nanoseconds spent in those checkpoints (WAL sync plus
+    /// image write, sync and rename), cumulative and saturating.
+    pub wal_checkpoint_ns: u64,
+    /// Size in bytes of the last checkpoint written.
+    pub wal_checkpoint_bytes: u64,
     /// WAL/checkpoint I/O failures. Any failure disables durability on the
     /// shard (it keeps serving from memory) rather than failing requests.
     pub wal_errors: u64,
@@ -93,6 +98,8 @@ impl Recorder for ShardStats {
             ("combiner_panics", self.combiner_panics),
             ("wal_appends", self.wal_appends),
             ("wal_checkpoints", self.wal_checkpoints),
+            ("wal_checkpoint_ns", self.wal_checkpoint_ns),
+            ("wal_checkpoint_bytes", self.wal_checkpoint_bytes),
             ("wal_errors", self.wal_errors),
         ]
     }
@@ -107,11 +114,15 @@ mod tests {
         let s = ShardStats {
             batches: 3,
             coalesced_inserts: 12,
+            wal_checkpoint_ns: 4_400_000,
+            wal_checkpoint_bytes: 2_070_000,
             ..Default::default()
         };
         assert_eq!(s.family(), "service.shard");
         let f = s.fields();
         assert!(f.contains(&("batches", 3)));
         assert!(f.contains(&("coalesced_inserts", 12)));
+        assert!(f.contains(&("wal_checkpoint_ns", 4_400_000)));
+        assert!(f.contains(&("wal_checkpoint_bytes", 2_070_000)));
     }
 }

@@ -316,7 +316,8 @@ impl ShardState {
             w.since = 0;
             return;
         }
-        let wrote = (|| -> std::io::Result<()> {
+        let start = Instant::now();
+        let wrote = (|| -> std::io::Result<u64> {
             w.writer.sync()?;
             let seq = w.writer.next_seq().saturating_sub(1);
             let heaps = queues.iter().enumerate().filter_map(|(i, s)| {
@@ -325,12 +326,17 @@ impl ShardState {
                     TenantHeap::Boxed(_) => None,
                 })
             });
-            wal::write_checkpoint(&w.dir, seq, pool, heaps, free_slots)
+            wal::write_checkpoint(&w.dir, seq, pool, heaps, free_slots)?;
+            Ok(std::fs::metadata(w.dir.join(wal::CHECKPOINT_FILE))?.len())
         })();
         match wrote {
-            Ok(()) => {
+            Ok(bytes) => {
                 w.since = 0;
                 stats.wal_checkpoints += 1;
+                stats.wal_checkpoint_ns = stats
+                    .wal_checkpoint_ns
+                    .saturating_add(u64::try_from(start.elapsed().as_nanos()).unwrap_or(u64::MAX));
+                stats.wal_checkpoint_bytes = bytes;
             }
             Err(_) => {
                 stats.wal_errors += 1;

@@ -120,6 +120,15 @@ fn explicit_checkpoint_bounds_replay() {
         svc.checkpoint();
         let stats = svc.shard_stats((q.shard()) as usize);
         assert_eq!(stats.wal_checkpoints, 1);
+        assert!(stats.wal_checkpoint_ns > 0, "checkpoint time is exported");
+        let ckpt = root
+            .0
+            .join(format!("shard{}", q.shard()))
+            .join(meldpq::wal::CHECKPOINT_FILE);
+        assert_eq!(
+            stats.wal_checkpoint_bytes,
+            std::fs::metadata(ckpt).expect("checkpoint on disk").len()
+        );
         // Post-checkpoint ops land in the WAL suffix.
         svc.insert(q, -1).unwrap();
     }
@@ -128,6 +137,33 @@ fn explicit_checkpoint_bounds_replay() {
         .expect("recover");
     assert_eq!(svc.extract_min(q).unwrap(), Some(-1));
     assert_eq!(svc.len(q).unwrap(), 32);
+}
+
+#[test]
+fn freed_top_slot_is_reusable_after_checkpoint_restart() {
+    // The checkpoint must keep a freed slot above every live one in the
+    // recovered slot table, or recycling it after the restart indexes
+    // past the table.
+    let root = TmpRoot::new("topslot");
+    {
+        let svc = builder(&root, Backend::Pooled).try_build().expect("build");
+        let qs: Vec<_> = (0..4).map(|_| svc.create_queue()).collect();
+        svc.insert(qs[0], 1).unwrap();
+        svc.destroy_queue(qs[3]).unwrap();
+        svc.destroy_queue(qs[2]).unwrap();
+        svc.checkpoint();
+    }
+    let svc = builder(&root, Backend::Pooled)
+        .try_build()
+        .expect("recover");
+    let fresh: Vec<_> = (0..4).map(|_| svc.create_queue()).collect();
+    for (i, q) in fresh.iter().enumerate() {
+        svc.insert(*q, i as i64).unwrap();
+    }
+    for (i, q) in fresh.iter().enumerate() {
+        assert_eq!(svc.extract_min(*q).unwrap(), Some(i as i64));
+    }
+    svc.validate().expect("recovered state validates");
 }
 
 #[test]

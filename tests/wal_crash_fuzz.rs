@@ -1,7 +1,7 @@
 //! WAL crash fuzzer: the durable pool driven under hundreds of seeded
 //! crash plans — kills at arbitrary byte offsets, torn tail records,
-//! bit-flipped logs and checkpoints, double recovery — against a
-//! sorted-vec oracle.
+//! bit-flipped logs and checkpoints, a kill mid-checkpoint, a truncated
+//! checkpoint, double recovery — against a sorted-vec oracle.
 //!
 //! Contract under crashes:
 //!
@@ -10,8 +10,11 @@
 //!   discarded whole (all-or-nothing per record);
 //! * **corruption stops the log, not the process** — a bit flip anywhere in
 //!   a record fails its CRC and ends replay *before* that record; a bit
-//!   flip in the checkpoint discards the checkpoint and recovery falls back
-//!   to full-log replay;
+//!   flip in the checkpoint, or a checkpoint cut short, discards the
+//!   checkpoint and recovery falls back to full-log replay;
+//! * **atomic checkpoints** — a checkpoint half-written to its temp file
+//!   when the process died is ignored; the previous checkpoint still
+//!   bounds replay;
 //! * **idempotence** — recovering twice from the same directory yields the
 //!   identical state (the first recovery's truncation is convergent);
 //! * **structural integrity** — every recovered pool passes `check_pool`
@@ -23,7 +26,7 @@
 
 use std::path::{Path, PathBuf};
 
-use meldpq::wal::{DurablePool, CHECKPOINT_FILE, WAL_FILE};
+use meldpq::wal::{recover_dir, DurablePool, CHECKPOINT_FILE, WAL_FILE};
 use meldpq::HeapPool;
 
 fn plan_count() -> u64 {
@@ -58,14 +61,23 @@ enum Kind {
     BitFlipCheckpoint,
     /// Truncate, recover, recover again: both recoveries must agree.
     DoubleRecover,
+    /// Write a checkpoint mid-run; die while writing a second one, leaving
+    /// its temp file cut short beside the first.
+    KillMidCheckpoint,
+    /// Write a checkpoint mid-run, then cut the renamed file short.
+    TruncatedCheckpoint,
 }
 
+const KINDS: u64 = 7;
+
 fn kind_for(seed: u64) -> Kind {
-    match seed % 5 {
+    match seed % KINDS {
         0 => Kind::KillAtOffset,
         1 => Kind::TornTail,
         2 => Kind::BitFlipWal,
         3 => Kind::BitFlipCheckpoint,
+        4 => Kind::KillMidCheckpoint,
+        5 => Kind::TruncatedCheckpoint,
         _ => Kind::DoubleRecover,
     }
 }
@@ -267,15 +279,29 @@ fn run_plan(seed: u64) {
     let mut model = Model::default();
     let mut ops: Vec<(Op, u64)> = Vec::new(); // op + offset its record ends at
     let mut checkpoint_cut_floor = 0u64; // earliest legal cut offset
+    let checkpointed = matches!(
+        kind,
+        Kind::BitFlipCheckpoint | Kind::KillMidCheckpoint | Kind::TruncatedCheckpoint
+    );
     for i in 0..n_ops {
         let op = gen_op(&mut s, &model);
         issue(&mut pool, &op);
         model.apply(&op);
         ops.push((op, pool.wal_bytes()));
-        if kind == Kind::BitFlipCheckpoint && i == n_ops / 2 {
+        if checkpointed && i == n_ops / 2 {
             pool.checkpoint().expect("explicit checkpoint");
             checkpoint_cut_floor = pool.wal_bytes();
         }
+    }
+    let ckpt = dir.join(CHECKPOINT_FILE);
+    let ckpt_tmp = dir.join(format!("{CHECKPOINT_FILE}.tmp"));
+    if kind == Kind::KillMidCheckpoint {
+        // The second checkpoint's full image, which the kill cuts short
+        // before its rename: the first checkpoint stays in place.
+        let first = std::fs::read(&ckpt).expect("first checkpoint");
+        pool.checkpoint().expect("second checkpoint");
+        std::fs::rename(&ckpt, &ckpt_tmp).expect("stage temp file");
+        std::fs::write(&ckpt, first).expect("restore first checkpoint");
     }
     let total = pool.wal_bytes();
     drop(pool); // crash: the BufWriter flushes, then we mutilate the files
@@ -331,14 +357,45 @@ fn run_plan(seed: u64) {
             (at, survived_prefix(keep))
         }
         Kind::BitFlipCheckpoint => {
-            let ckpt = dir.join(CHECKPOINT_FILE);
             assert!(ckpt.exists(), "plan wrote a checkpoint");
             flip_bit(&ckpt, r);
             // Checkpoint discarded, WAL intact: full-log replay, full model.
             (checkpoint_cut_floor.max(total), survived_prefix(total))
         }
+        Kind::KillMidCheckpoint | Kind::TruncatedCheckpoint => {
+            let cut_file = if kind == Kind::KillMidCheckpoint {
+                &ckpt_tmp
+            } else {
+                &ckpt
+            };
+            let len = std::fs::metadata(cut_file).expect("checkpoint file").len();
+            let cut = r % len;
+            std::fs::OpenOptions::new()
+                .write(true)
+                .open(cut_file)
+                .and_then(|f| f.set_len(cut))
+                .expect("truncate checkpoint");
+            (checkpoint_cut_floor.max(total), survived_prefix(total))
+        }
     };
     let _ = cut;
+
+    // Which checkpoint recovery may use decides how much WAL it replays:
+    // the first checkpoint folded in `n_ops / 2 + 1` records, a refused
+    // one none.
+    let replayed = match kind {
+        Kind::BitFlipCheckpoint | Kind::TruncatedCheckpoint => Some(n_ops),
+        Kind::KillMidCheckpoint => Some(n_ops - (n_ops / 2 + 1)),
+        _ => None,
+    };
+    if let Some(want) = replayed {
+        let state = recover_dir(&dir, meldpq::Engine::Sequential)
+            .unwrap_or_else(|e| panic!("recovery failed ({kind:?}): {e}"));
+        assert_eq!(
+            state.replayed, want,
+            "seed {seed} ({kind:?}): replayed the wrong WAL suffix"
+        );
+    }
 
     // Phase 3 — recover and compare against the oracle.
     let recovered = HeapPool::<i64>::recover(&dir)
@@ -395,5 +452,9 @@ fn wal_crash_fuzz_seeded_plans_vs_oracle() {
         }
     }
     // Every crash kind must actually have been exercised.
-    assert_eq!(by_kind.len(), 5, "all plan kinds covered: {by_kind:?}");
+    assert_eq!(
+        by_kind.len() as u64,
+        KINDS,
+        "all plan kinds covered: {by_kind:?}"
+    );
 }
